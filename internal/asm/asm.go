@@ -26,7 +26,6 @@ package asm
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -457,14 +456,10 @@ func (a *assembler) pass2() (*image.Image, error) {
 			return nil, err
 		}
 	}
-	names := make([]string, 0, len(a.labels))
-	for name := range a.labels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pos := a.labels[name]
-		im.Symbols[name] = pos.sec.base + pos.off
+	// Label names are substrings of the source text; clone them so a
+	// retained image does not pin every source it was assembled from.
+	for name, pos := range a.labels {
+		im.Symbols[strings.Clone(name)] = pos.sec.base + pos.off
 	}
 	if entry, ok := im.Symbols["_start"]; ok {
 		im.Entry = entry

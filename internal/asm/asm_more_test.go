@@ -3,6 +3,7 @@ package asm
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dqemu/internal/isa"
 )
@@ -217,5 +218,31 @@ _start:	halt
 	}
 	if bssSize != 48 {
 		t.Errorf("bss size = %d", bssSize)
+	}
+}
+
+// TestSymbolsDoNotPinSource: no key of im.Symbols may share memory with an
+// input source text. A key that is a substring of Source.Text keeps the
+// whole text alive for as long as the image is retained.
+func TestSymbolsDoNotPinSource(t *testing.T) {
+	srcs := []Source{
+		{Name: "a.s", Text: "\t.global _start\n_start:\n\tcall helper\n\thalt\nlocal_a:\n\tnop\n"},
+		{Name: "b.s", Text: "helper:\n\tret\n\t.data\ncounter:\n\t.quad 0\n"},
+	}
+	im, err := Assemble(srcs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(im.Symbols) < 4 {
+		t.Fatalf("symbols = %v, want at least 4", im.Symbols)
+	}
+	for name := range im.Symbols {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(name)))
+		for _, s := range srcs {
+			lo := uintptr(unsafe.Pointer(unsafe.StringData(s.Text)))
+			if p >= lo && p < lo+uintptr(len(s.Text)) {
+				t.Errorf("symbol %q points into %s", name, s.Name)
+			}
+		}
 	}
 }

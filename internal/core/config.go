@@ -81,8 +81,10 @@ type Config struct {
 	// checked against its tier-2 uop sequence (rejected on failure). Adds
 	// translation-time cost only; the execution hot path is unchanged.
 	Verify bool
-	// Tier3Threshold overrides the tier-2 entry count at which a superblock
-	// is closure-compiled (default tcg.DefaultTier3Threshold).
+	// Tier3Threshold overrides the heat at which a superblock is
+	// closure-compiled (default tcg.DefaultTier3Threshold). Heat counts the
+	// times tier-2 ran the superblock's body: dispatches, back-edge
+	// iterations and tail-chained entries.
 	Tier3Threshold uint32
 	// NoJumpCache disables the indirect-branch target cache (ablation).
 	NoJumpCache bool

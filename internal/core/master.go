@@ -355,7 +355,7 @@ func (m *master) ForceSplit(page uint64) bool {
 	return m.dir.ForceSplit(page)
 }
 
-// SetTier3Threshold retunes every node's promotion count; superblocks
+// SetTier3Threshold retunes every node's tier-3 heat threshold; superblocks
 // already past the old threshold keep their closures.
 func (m *master) SetTier3Threshold(v uint32) {
 	for _, n := range m.cl.nodes {

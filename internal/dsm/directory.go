@@ -97,8 +97,8 @@ type entry struct {
 
 	busy       bool
 	acksLeft   int
-	fetchFrom  int     // slave a fetch is outstanding to (0 = none)
-	invPending NodeSet // nodes that owe an invalidation ack
+	fetchFrom  int       // slave a fetch is outstanding to (0 = none)
+	invPending NodeSet   // nodes that owe an invalidation ack
 	grant      *Request  // request waiting for acks/fetch
 	split      bool      // a split transaction is in flight
 	pending    []Request // requests queued while busy

@@ -65,7 +65,7 @@ var cohKinds = []proto.Kind{
 // wireAblations is the fixed row order: each row must ship no more
 // coherence payload than the one before it.
 var wireAblations = []struct {
-	name               string
+	name                string
 	noDelta, noCoalesce bool
 }{
 	{"baseline", true, true},

@@ -1,7 +1,10 @@
 package grt_test
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"dqemu/internal/asm"
@@ -310,5 +313,77 @@ long main() {
 }`)
 	if res.Console != "deep ok\n" {
 		t.Errorf("console = %q", res.Console)
+	}
+}
+
+// TestBuildProgramConcurrentMatchesSequential builds distinct programs from
+// many goroutines at once (the daemon admits jobs concurrently, all sharing
+// the memoised runtime compile) and requires every image to be
+// byte-identical to the one a sequential build of the same source gives.
+func TestBuildProgramConcurrentMatchesSequential(t *testing.T) {
+	const n = 8
+	src := func(i int) string {
+		return fmt.Sprintf("long K = %d;\nlong main() { print_long(K * %d); return 0; }\n", i, i+1)
+	}
+	want := make([][]byte, n)
+	for i := range want {
+		im, err := grt.BuildProgram(fmt.Sprintf("p%d.mc", i), src(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = im.Encode()
+	}
+	got := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			im, err := grt.BuildProgram(fmt.Sprintf("p%d.mc", i), src(i))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = im.Encode()
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("program %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("program %d: concurrent build differs from the sequential one", i)
+		}
+	}
+}
+
+// TestRuntimeSourcesFreshSlice: each call returns its own slice, so one
+// caller appending to or overwriting its units never changes what the next
+// caller gets.
+func TestRuntimeSourcesFreshSlice(t *testing.T) {
+	first, err := grt.RuntimeSources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := append([]asm.Source(nil), first...)
+	// append into spare capacity, if there were any, would overwrite the
+	// backing array in place; so would assigning to an element.
+	_ = append(first[:1], asm.Source{Name: "user.s", Text: "nop"})
+	first[0].Text = ""
+
+	next, err := grt.RuntimeSources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next) != len(pristine) {
+		t.Fatalf("next caller got %d units, want %d", len(next), len(pristine))
+	}
+	for i := range next {
+		if next[i] != pristine[i] {
+			t.Errorf("unit %d changed: got %q (%d bytes), want %q (%d bytes)",
+				i, next[i].Name, len(next[i].Text), pristine[i].Name, len(pristine[i].Text))
+		}
 	}
 }

@@ -94,12 +94,12 @@ type Msg struct {
 	// Seq is the per-link sequence number stamped by the reliable transport
 	// (0 = unsequenced). For KSyscallReq/KSyscallReply it doubles as the
 	// per-thread request id used to deduplicate retried delegations.
-	Seq     uint64
-	TID     int64
-	Page    uint64
-	Addr    uint64
-	Write   bool
-	Perm    uint8
+	Seq   uint64
+	TID   int64
+	Page  uint64
+	Addr  uint64
+	Write bool
+	Perm  uint8
 	// Flags carries wire-layer framing bits (FlagCoh, FlagFullResend).
 	Flags uint8
 	// Ver is a per-page directory version: on KPageReq the requester's twin

@@ -34,7 +34,7 @@ type Actuator interface {
 	// splitter's own reactive threshold. Returns false when the page cannot
 	// split (retired, busy, shadow region, or splitting disabled).
 	ForceSplit(page uint64) bool
-	// SetTier3Threshold retunes every node's tier-3 promotion count.
+	// SetTier3Threshold retunes every node's tier-3 heat threshold.
 	SetTier3Threshold(v uint32)
 	// SetForwardCap bounds the forwarder's window growth multiplier.
 	SetForwardCap(mult int)

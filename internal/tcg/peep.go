@@ -644,16 +644,17 @@ func mustParseRules(text string) map[string]bool {
 // UopSeqProfile emits execution-weighted micro-op n-gram counts (n=1..3)
 // over every live superblock, as uopseq.<k1>[-<k2>[-<k3>]] keys — the raw
 // material cmd/dqemu-peep mines rules from. Weight is the superblock's
-// tier-2 entry count (its heat). Output is capped to the top uopSeqTopK
-// sequences, deterministically ordered, to bound profile size.
+// heat (its tier-2 runs toward compilation; see Engine.warm). Output is
+// capped to the top uopSeqTopK sequences, deterministically ordered, to
+// bound profile size.
 func (e *Engine) UopSeqProfile(emit func(seq string, weight uint64)) {
 	counts := map[string]uint64{}
 	for _, b := range e.cache {
 		sb := b.sb
-		if sb == nil || sb.execs == 0 {
+		if sb == nil || sb.heat == 0 {
 			continue
 		}
-		w := uint64(sb.execs)
+		w := uint64(sb.heat)
 		ops := sb.ops
 		for i := range ops {
 			n1 := kindName(ops[i].kind)

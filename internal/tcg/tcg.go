@@ -92,10 +92,10 @@ type Stats struct {
 	Superblocks       uint64 // hot traces built
 	SuperblockInsns   uint64 // guest instructions retired inside superblocks
 	SuperblockEntries uint64 // superblock dispatches (re-entries; feeds tier-3 retuning)
-	FusedUops       uint64 // peephole fusions applied during trace lowering
-	JumpCacheHits   uint64
-	JumpCacheMisses uint64
-	Flushes         uint64 // translation cache flushes (generation bumps)
+	FusedUops         uint64 // peephole fusions applied during trace lowering
+	JumpCacheHits     uint64
+	JumpCacheMisses   uint64
+	Flushes           uint64 // translation cache flushes (generation bumps)
 
 	// Tier-3 (closure compilation) and mined-peephole counters.
 	Tier3Superblocks uint64 // superblocks compiled to closures
@@ -185,8 +185,10 @@ type Engine struct {
 	// "superblock" or "tier3", entry the guest PC heading the trace.
 	OnVerifyFail func(where string, entry uint64, err error)
 
-	// HotThreshold overrides DefaultHotThreshold when nonzero (tests);
-	// Tier3Threshold likewise overrides DefaultTier3Threshold.
+	// HotThreshold overrides DefaultHotThreshold when nonzero (tests).
+	// Tier3Threshold likewise overrides DefaultTier3Threshold, the heat
+	// (tier-2 dispatches, back-edge iterations and tail-chained entries of a
+	// superblock) at which it is closure-compiled.
 	HotThreshold   uint32
 	Tier3Threshold uint32
 
@@ -462,15 +464,12 @@ func (e *Engine) Exec(cpu *CPU, budgetNs int64) Result {
 			if t3 := sb.t3; t3 != nil && !e.NoTier3 {
 				next, res, stop = e.execTier3(cpu, t3, &spent, budgetNs)
 			} else {
-				if !e.NoTier3 && sb.t3 == nil && !sb.t3fail {
-					sb.execs++
-					if sb.execs >= e.tier3Threshold() {
-						if t3 := e.compileTier3(sb, &spent); t3 != nil {
-							sb.t3 = t3
-							continue
-						}
-						sb.t3fail = true
+				if e.warm(sb) {
+					if t3 := e.compileTier3(sb, &spent); t3 != nil {
+						sb.t3 = t3
+						continue
 					}
+					sb.t3fail = true
 				}
 				next, res, stop = e.execSuper(cpu, sb, &spent, budgetNs)
 			}

@@ -1,8 +1,9 @@
 // Tier-3 IR-less translation: closure-compiled superblocks.
 //
-// A superblock that stays hot after promotion (its tier-2 entry count
-// crosses Tier3Threshold) is compiled once more, this time out of the
-// micro-op array entirely: every uop becomes a small specialized Go closure
+// A superblock that stays hot after promotion (its heat — Exec dispatches,
+// back-edge iterations and JALR tail-chained entries on tier-2 — reaches
+// Tier3Threshold) is compiled once more, this time out of the micro-op
+// array entirely: every uop becomes a small specialized Go closure
 // with its operands, widths, sign shifts and branch polarity resolved at
 // compile time — no dispatch switch, no per-uop bounds checks, no per-uop
 // operand decode. This is the "foregoing the IR" model: the host program
@@ -50,9 +51,11 @@ import (
 	"dqemu/internal/mem"
 )
 
-// DefaultTier3Threshold is the tier-2 entry count at which a superblock is
-// compiled to closures. It is deliberately lower than DefaultHotThreshold:
-// a superblock only exists because its head block was already hot.
+// DefaultTier3Threshold is the heat at which a superblock is compiled to
+// closures: the number of times tier-2 ran its body, counting Exec
+// dispatches, back-edge iterations and JALR tail-chained entries alike
+// (Engine.warm). It is deliberately lower than DefaultHotThreshold: a
+// superblock only exists because its head block was already hot.
 const DefaultTier3Threshold = 24
 
 func (e *Engine) tier3Threshold() uint32 {

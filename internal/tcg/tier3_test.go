@@ -3,32 +3,54 @@ package tcg
 import (
 	"testing"
 
+	"dqemu/internal/isa"
 	"dqemu/internal/mem"
 )
 
 // tier3State runs src under one rung of the translation ladder and returns
-// the final architectural state plus the engine for stats inspection.
+// the final architectural state plus the engine for stats inspection. Small
+// quantum slices: each Exec re-enters the hot superblock, driving its heat
+// past the tier-3 threshold as the scheduler's quantum boundaries would.
 func tier3State(t *testing.T, src string, tune func(*Engine)) (*CPU, *Engine) {
 	t.Helper()
-	_, e, cpu, _ := setupImage(t, src)
+	cpu, e, _, _ := ladderRun(t, src, 1_500, tune)
+	return cpu, e
+}
+
+// ladderRun runs src to HALT in Exec calls of quantumNs each under one rung
+// of the translation ladder. Every SVC is a console write of a2 bytes at a1.
+// It returns the final CPU, the engine, the console, and the scratch pages
+// at 0x20000.
+func ladderRun(t *testing.T, src string, quantumNs int64, tune func(*Engine)) (*CPU, *Engine, string, []byte) {
+	t.Helper()
+	space, e, cpu, _ := setupImage(t, src)
 	e.HotThreshold = 2 // promote quickly so short test programs climb the ladder
 	if tune != nil {
 		tune(e)
 	}
-	// Small quantum slices: each Exec re-enters the hot superblock, driving
-	// the tier-2 entry count past the tier-3 threshold as the scheduler's
-	// quantum boundaries would.
+	var console []byte
 	for i := 0; i < 1_000_000; i++ {
-		res := e.Exec(cpu, 1_500)
-		if res.Reason == StopHalt {
-			return cpu, e
-		}
-		if res.Reason != StopBudget {
+		res := e.Exec(cpu, quantumNs)
+		switch res.Reason {
+		case StopHalt:
+			scratch := make([]byte, 0x2000)
+			if err := space.ReadBytes(0x20000, scratch); err != nil {
+				t.Fatal(err)
+			}
+			return cpu, e, string(console), scratch
+		case StopSyscall:
+			buf := make([]byte, cpu.X[isa.RegA2])
+			if err := space.ReadBytes(cpu.X[isa.RegA1], buf); err != nil {
+				t.Fatal(err)
+			}
+			console = append(console, buf...)
+		case StopBudget:
+		default:
 			t.Fatalf("stop: %+v", res)
 		}
 	}
 	t.Fatalf("program did not halt")
-	return nil, nil
+	return nil, nil, "", nil
 }
 
 // tier3Rungs is the four-way ladder the differential tests compare:
@@ -46,9 +68,12 @@ func tier3Rungs() map[string]func(*Engine) {
 }
 
 // TestTier3MatchesBaselineState is the four-way differential: every rung of
-// the ladder must leave bit-identical registers and PC on a workload that
-// exercises ALU, memory, FP, and calls; and the tier-3 rungs must actually
-// have executed compiled closures rather than silently falling back.
+// the ladder must leave bit-identical registers, PC, memory and console on a
+// workload that exercises ALU, memory, FP, and calls; and the tier-3 rungs
+// must actually have executed compiled closures rather than silently falling
+// back. The "tier3@backedge" rung runs whole-program quanta at the default
+// threshold, so the loop turns hot at a back-edge in the middle of a quantum
+// and tier-2 hands it to tier-3 there.
 func TestTier3MatchesBaselineState(t *testing.T) {
 	const src = `
 _start:
@@ -67,6 +92,10 @@ loop:
 	fsd  f2, 16(s3)
 	fld  f3, 16(s3)
 	fadd f2, f3, f2
+	; a store that walks the array, so memory differs per iteration
+	slli t4, s1, 3
+	add  t4, t4, s3
+	sd   s0, 64(t4)
 	; ALU mix with addi neighbours (peephole and fusion food); the
 	; mv-bounce (addi rd,rs,0 ; addi rs,rd,0) and addi-zero shapes below
 	; are exactly what the mined rules rewrite.
@@ -80,19 +109,34 @@ loop:
 	slt  t0, s1, s2
 	bnez t0, loop
 	fcvt.l.d s4, f2
+	; console: the checksum's 8 bytes
+	sd   s0, 32(s3)
+	li   a7, 64
+	li   a0, 1
+	addi a1, s3, 32
+	li   a2, 8
+	svc  0
 	halt
 `
 	type state struct {
-		x  [32]uint64
-		f  [32]float64
-		pc uint64
+		x       [32]uint64
+		f       [32]float64
+		pc      uint64
+		console string
+		mem     string
 	}
+	rungs := tier3Rungs()
+	rungs["tier3@backedge"] = func(e *Engine) { e.HotThreshold, e.Tier3Threshold = 0, 0 }
 	states := map[string]state{}
-	for name, tune := range tier3Rungs() {
-		cpu, e := tier3State(t, src, tune)
-		states[name] = state{cpu.X, cpu.F, cpu.PC}
+	for name, tune := range rungs {
+		quantum := int64(1_500)
+		if name == "tier3@backedge" {
+			quantum = 10_000_000
+		}
+		cpu, e, console, scratch := ladderRun(t, src, quantum, tune)
+		states[name] = state{cpu.X, cpu.F, cpu.PC, console, string(scratch)}
 		switch name {
-		case "tier3", "tier3+peep":
+		case "tier3", "tier3+peep", "tier3@backedge":
 			if e.Stats.Tier3Superblocks == 0 || e.Stats.Tier3Insns == 0 {
 				t.Errorf("%s: no tier-3 execution (superblocks=%d insns=%d)",
 					name, e.Stats.Tier3Superblocks, e.Stats.Tier3Insns)
@@ -102,15 +146,28 @@ loop:
 				t.Errorf("interp: unexpectedly ran upper tiers (%+v)", e.Stats)
 			}
 		}
+		if name == "tier3@backedge" && e.Stats.SuperblockEntries >= DefaultTier3Threshold {
+			t.Errorf("tier3@backedge: %d dispatches reach the threshold alone; promotion did not happen at a back-edge",
+				e.Stats.SuperblockEntries)
+		}
 		if name == "tier3+peep" && e.Stats.PeepApplied == 0 {
 			t.Errorf("tier3+peep: no peephole rules applied")
 		}
 	}
 	want := states["interp"]
+	if len(want.console) != 8 {
+		t.Fatalf("interp console = %q, want the checksum's 8 bytes", want.console)
+	}
 	for name, got := range states {
-		if got != want {
+		if got.x != want.x || got.f != want.f || got.pc != want.pc {
 			t.Errorf("rung %s diverged from interpreter:\n got pc=%#x x=%v\nwant pc=%#x x=%v",
 				name, got.pc, got.x, want.pc, want.x)
+		}
+		if got.console != want.console {
+			t.Errorf("rung %s console = %q, want %q", name, got.console, want.console)
+		}
+		if got.mem != want.mem {
+			t.Errorf("rung %s left different memory than the interpreter", name)
 		}
 	}
 }

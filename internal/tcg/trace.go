@@ -45,12 +45,27 @@ type superblock struct {
 	exits  []exitSlot
 	ninsns uint32 // guest instructions lowered into the trace
 
-	// Tier-3 bookkeeping: tier-2 entry count toward closure compilation,
-	// the compiled form once promoted, and a sticky flag for superblocks the
+	// Tier-3 bookkeeping: heat toward closure compilation (see warm), the
+	// compiled form once promoted, and a sticky flag for superblocks the
 	// closure compiler refused (so the attempt is not repeated).
-	execs  uint32
+	heat   uint32
 	t3     *tier3
 	t3fail bool
+}
+
+// warm adds one tier-2 run of sb's body to its heat: Exec's dispatch, a
+// back-edge iteration and a JALR tail-chained entry each count. It reports
+// whether sb has reached Tier3Threshold and should be compiled. Tier-2
+// then hands control back to Exec at the instruction boundary where it
+// would continue (the loop head or the tail-call target), and Exec
+// compiles sb and enters tier-3 within the same call. Superblocks that are
+// compiled, or that the closure compiler refused, never warm.
+func (e *Engine) warm(sb *superblock) bool {
+	if e.NoTier3 || sb.t3 != nil || sb.t3fail {
+		return false
+	}
+	sb.heat++
+	return sb.heat >= e.tier3Threshold()
 }
 
 func (e *Engine) hotThreshold() uint32 {

@@ -678,14 +678,11 @@ func (e *Engine) execSuperRun(cpu *CPU, sb *superblock, spent *int64, budgetNs i
 					e.Stats.JumpCacheHits++
 					// Tail-call straight into the target's superblock when
 					// it has one, without bouncing through Exec's dispatch.
-					// A closure-compiled target instead bounces so Exec runs
-					// its tier-3 form (and call-heavy targets accrue entries
-					// toward compilation).
+					// The entry warms the target; a closure-compiled target,
+					// or one this entry made hot enough to compile, instead
+					// bounces so Exec runs (or builds) its tier-3 form.
 					if nsb := h.blk.sb; nsb != nil && !e.NoSuperblock && nsb.gen == e.gen && *spent < budgetNs {
-						if nsb.t3 == nil || e.NoTier3 {
-							if !e.NoTier3 && !nsb.t3fail {
-								nsb.execs++
-							}
+						if (nsb.t3 == nil || e.NoTier3) && !e.warm(nsb) {
 							sb = nsb
 							ops = sb.ops
 							i = -1
@@ -699,7 +696,9 @@ func (e *Engine) execSuperRun(cpu *CPU, sb *superblock, spent *int64, budgetNs i
 			}
 			return nil, Result{}, false, executed
 		case uLoopBack:
-			if *spent >= budgetNs || sb.gen != e.gen {
+			// Yield at the loop head when the quantum is spent, the trace
+			// was retired, or this iteration made it hot enough for tier-3.
+			if *spent >= budgetNs || sb.gen != e.gen || e.warm(sb) {
 				cpu.PC = sb.entry
 				return nil, Result{}, false, executed
 			}
